@@ -23,7 +23,7 @@ bench:
 # skipped: a single 1024³ product under -race takes minutes, not seconds).
 bench-smoke:
 	$(GO) test -race -benchtime 1x -benchmem -run '^$$' \
-		-bench 'BenchmarkTensorMatMul256|BenchmarkTensorMatMulGrid/n=(64|256)|BenchmarkNNTrainBatch' .
+		-bench 'BenchmarkTensorMatMul256|BenchmarkTensorMatMulGrid/n=(64|256)|BenchmarkNNTrainBatch|BenchmarkFTDMPFineTuneRuns' .
 
 # Deterministic chaos suite: seeded fault injection, quorum rounds, store
 # eviction/rejoin, and the kill/restart soak — all under the race detector.

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"ndpipe/internal/cluster"
+	"ndpipe/internal/core"
+	"ndpipe/internal/dataset"
 	"ndpipe/internal/delta"
 	"ndpipe/internal/experiments"
 	"ndpipe/internal/ftdmp"
@@ -162,6 +164,33 @@ func BenchmarkFTDMPSimulate(b *testing.B) {
 		if _, err := ftdmp.Simulate(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFTDMPFineTuneRuns times the Tuner's head training at the shape
+// of the retrain benchmark workload: 20k frozen-backbone features split into
+// 3 runs of ~6,667 rows × 32 features, 26 classes, 5 epochs per run. The
+// sub-benchmarks cover default early stopping (an accuracy pass per epoch)
+// and fixed epochs (Patience 0, no accuracy pass).
+func BenchmarkFTDMPFineTuneRuns(b *testing.B) {
+	mc := core.DefaultModelConfig()
+	wc := dataset.DefaultConfig(1)
+	wc.InitialImages = 20_000
+	raw := dataset.BatchOfImages(dataset.NewWorld(wc).Images(), wc.InputDim)
+	feats := &dataset.Batch{X: mc.NewBackbone().Forward(raw.X), Labels: raw.Labels}
+	runs := ftdmp.SplitRuns(feats, 3)
+	for _, patience := range []int{3, 0} {
+		b.Run(fmt.Sprintf("patience=%d", patience), func(b *testing.B) {
+			opt := ftdmp.DefaultTrainOptions()
+			opt.MaxEpochs = 5
+			opt.Patience = patience
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ftdmp.FineTuneRuns(mc.NewClassifier(), runs, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

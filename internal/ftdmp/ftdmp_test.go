@@ -1,8 +1,10 @@
 package ftdmp
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ndpipe/internal/dataset"
@@ -283,6 +285,42 @@ func TestFineTuneRunsConvergesAndPipeliningCostsLittle(t *testing.T) {
 	// (catastrophic forgetting grows as runs shrink).
 	if a8 > a3+0.02 {
 		t.Fatalf("expected more forgetting at Nrun=8: %.3f vs %.3f", a8, a3)
+	}
+}
+
+// TestAccuracyPassHasNoSideEffect pins that the per-epoch accuracy pass of
+// early stopping only observes training: with a patience that can never
+// fire, the runs train the same epochs to the same bits as with early
+// stopping off (Patience 0), which skips the pass.
+func TestAccuracyPassHasNoSideEffect(t *testing.T) {
+	train, _, classes := featureWorld(t, 13)
+	runs := SplitRuns(train, 3)
+	const maxEpochs = 4
+	trainWith := func(patience int) (TrainStats, []byte) {
+		clf := nn.NewMLP("clf", []int{train.X.Cols, 64, classes}, rand.New(rand.NewSource(5)))
+		opt := DefaultTrainOptions()
+		opt.MaxEpochs = maxEpochs
+		opt.Patience = patience
+		stats, err := FineTuneRuns(clf, runs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := nn.EncodeSnapshot(&buf, clf.TakeSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return stats, buf.Bytes()
+	}
+	off, offBytes := trainWith(0)
+	on, onBytes := trainWith(maxEpochs + 1)
+	if !slices.Equal(off.EpochsPerRun, on.EpochsPerRun) {
+		t.Fatalf("epochs per run %v with the accuracy pass, %v without", on.EpochsPerRun, off.EpochsPerRun)
+	}
+	if off.TotalEpochs != len(runs)*maxEpochs {
+		t.Fatalf("Patience 0 trained %d epochs, want MaxEpochs on every run", off.TotalEpochs)
+	}
+	if !bytes.Equal(offBytes, onBytes) {
+		t.Fatal("classifier bits differ with and without the per-epoch accuracy pass")
 	}
 }
 

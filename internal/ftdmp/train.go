@@ -16,8 +16,12 @@ type TrainOptions struct {
 	MiniBatch     int
 	MaxEpochs     int     // per run
 	ConvergeDelta float64 // stop when train-accuracy gains fall below this...
-	Patience      int     // ...for this many consecutive epochs (paper: 0.01 %, 3 epochs)
-	Seed          int64
+	// Patience is how many consecutive epochs the gain may stay below
+	// ConvergeDelta before the run stops (paper: 0.01 %, 3 epochs).
+	// Patience <= 0 disables early stopping, and with it the per-epoch
+	// accuracy pass: every run trains exactly MaxEpochs epochs.
+	Patience int
+	Seed     int64
 }
 
 // DefaultTrainOptions mirrors the paper's stopping criterion (§6.3).
@@ -46,6 +50,12 @@ type TrainStats struct {
 // with more runs it is the pipelined variant whose convergence Theorem 5.1
 // guarantees — and whose catastrophic-forgetting risk grows as runs shrink
 // (Fig 17). The classifier clf is mutated in place.
+//
+// With early stopping on (opt.Patience > 0), each epoch ends with a top-1
+// accuracy pass over the run. That pass calls clf.Forward, so it runs the
+// head in whatever mode its layers are in: a head with train-mode BatchNorm
+// or Dropout would have its state changed by it (no caller passes one).
+// opt.Patience <= 0 skips the pass, since nothing reads its result.
 func FineTuneRuns(clf *nn.Network, runs []*dataset.Batch, opt TrainOptions) (TrainStats, error) {
 	if len(runs) == 0 {
 		return TrainStats{}, fmt.Errorf("ftdmp: no runs")
@@ -69,19 +79,35 @@ func FineTuneRuns(clf *nn.Network, runs []*dataset.Batch, opt TrainOptions) (Tra
 			stats.FinalLoss = trainEpoch(clf, sgd, run, opt.MiniBatch, rng)
 			stats.EpochsPerRun[r]++
 			stats.TotalEpochs++
-			acc, _ := nn.Accuracy(clf, run.X, run.Labels, 1)
-			if acc > best+opt.ConvergeDelta {
+			if opt.Patience <= 0 {
+				continue
+			}
+			if acc := top1(clf, run); acc > best+opt.ConvergeDelta {
 				best = acc
 				stale = 0
 			} else {
 				stale++
-				if opt.Patience > 0 && stale >= opt.Patience {
+				if stale >= opt.Patience {
 					break
 				}
 			}
 		}
 	}
 	return stats, nil
+}
+
+// top1 is the classifier's top-1 accuracy on b: the convergence signal of
+// early stopping. It counts arg-max hits directly rather than calling
+// nn.Accuracy, which would also rank every row's top-k only to discard it.
+func top1(clf *nn.Network, b *dataset.Batch) float64 {
+	pred := clf.Forward(b.X).ArgmaxRows()
+	hits := 0
+	for i, y := range b.Labels {
+		if pred[i] == y {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(b.Labels))
 }
 
 // trainEpoch runs one shuffled pass of minibatch SGD and returns the mean

@@ -102,19 +102,27 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if !d.w.Frozen {
-		d.gw = tensor.Reuse(d.gw, d.w.W.Rows, d.w.W.Cols)
-		tensor.MatMulATBInto(d.gw, d.input, grad)
-		d.w.Grad.Add(d.gw)
-		d.bg = tensor.ReuseSlice(d.bg, grad.Cols)
-		grad.ColSumsInto(d.bg)
-		for j, v := range d.bg {
-			d.b.Grad.Data[j] += v
-		}
-	}
+	d.accumulateGrads(grad)
 	d.dx = tensor.Reuse(d.dx, grad.Rows, d.w.W.Rows)
 	tensor.MatMulABTInto(d.dx, grad, d.w.W)
 	return d.dx
+}
+
+// accumulateGrads adds xᵀ·grad and the column sums of grad to the weight
+// and bias gradients, unless the layer is frozen. It is the parameter half
+// of Backward, without the input gradient.
+func (d *Dense) accumulateGrads(grad *tensor.Matrix) {
+	if d.w.Frozen {
+		return
+	}
+	d.gw = tensor.Reuse(d.gw, d.w.W.Rows, d.w.W.Cols)
+	tensor.MatMulATBInto(d.gw, d.input, grad)
+	d.w.Grad.Add(d.gw)
+	d.bg = tensor.ReuseSlice(d.bg, grad.Cols)
+	grad.ColSumsInto(d.bg)
+	for j, v := range d.bg {
+		d.b.Grad.Data[j] += v
+	}
 }
 
 // Params implements Layer.
@@ -165,6 +173,7 @@ type Network struct {
 	// Invalidated when len(Layers) changes; replacing a layer in place
 	// without changing the count is not supported.
 	params       []*Param
+	paramLayer   []int // paramLayer[i] is the index in Layers of params[i]
 	paramsLayers int
 }
 
@@ -220,12 +229,47 @@ func (n *Network) Params() []*Param {
 		return n.params
 	}
 	var ps []*Param
-	for _, l := range n.Layers {
-		ps = append(ps, l.Params()...)
+	var at []int
+	for i, l := range n.Layers {
+		for _, p := range l.Params() {
+			ps = append(ps, p)
+			at = append(at, i)
+		}
 	}
-	n.params = ps
+	n.params, n.paramLayer = ps, at
 	n.paramsLayers = len(n.Layers)
 	return ps
+}
+
+// lowestTrainable returns the index of the lowest layer holding a
+// trainable parameter, or -1 when every parameter is frozen.
+func (n *Network) lowestTrainable() int {
+	for i, p := range n.Params() {
+		if !p.Frozen {
+			return n.paramLayer[i]
+		}
+	}
+	return -1
+}
+
+// backwardParams is Backward cut down to what a training step reads: the
+// parameter gradients. It stops at the lowest trainable layer, which
+// accumulates its gradients but (when it is a Dense) computes no input
+// gradient; the frozen layers below it are not visited. Every trainable
+// parameter's gradient is bit-identical to Backward's.
+func (n *Network) backwardParams(grad *tensor.Matrix) {
+	lo := n.lowestTrainable()
+	if lo < 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > lo; i-- {
+		grad = n.Layers[i].Backward(grad)
+	}
+	if d, ok := n.Layers[lo].(*Dense); ok {
+		d.accumulateGrads(grad)
+	} else {
+		n.Layers[lo].Backward(grad)
+	}
 }
 
 // TrainableParams returns only the non-frozen parameters.
@@ -329,13 +373,15 @@ func (o *SGD) Step(params []*Param) {
 }
 
 // TrainBatch runs one forward/backward/update step and returns the loss.
+// The backward pass stops at the lowest trainable layer (backwardParams):
+// nothing reads ∂L/∂input of the network, so it is never computed.
 // Steady state (shapes unchanged since the previous batch) it performs no
 // heap allocation: the logits buffer is consumed in place as the loss
 // gradient and every layer reuses its own scratch.
 func TrainBatch(n *Network, opt *SGD, x *tensor.Matrix, labels []int) float64 {
 	logits := n.Forward(x)
 	loss := SoftmaxCrossEntropyInPlace(logits, labels)
-	n.Backward(logits)
+	n.backwardParams(logits)
 	opt.Step(n.Params())
 	return loss
 }

@@ -150,6 +150,74 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	}
 }
 
+// TestTrainBatchGradsMatchFullBackward pins the truncated backward pass of
+// TrainBatch: stopping at the lowest trainable layer must leave every
+// parameter gradient bit-identical to a full Network.Backward, and training
+// through TrainBatch must match training through Backward + Step bit for
+// bit. The BatchNorm head covers a lowest trainable layer that falls back
+// to its full Backward.
+func TestTrainBatchGradsMatchFullBackward(t *testing.T) {
+	frozen := func(rng *rand.Rand) *Network {
+		bb := NewMLP("bb", []int{12, 16, 8}, rng)
+		bb.FreezeAll()
+		return bb
+	}
+	cases := map[string]func(rng *rand.Rand) *Network{
+		"mlp": func(rng *rand.Rand) *Network { return NewMLP("clf", []int{12, 10, 7, 3}, rng) },
+		"stack": func(rng *rand.Rand) *Network {
+			return Stack(frozen(rng), NewMLP("head", []int{8, 10, 3}, rng))
+		},
+		"stack-batchnorm-head": func(rng *rand.Rand) *Network {
+			head := &Network{Layers: []Layer{NewBatchNorm("head.bn", 8), NewDense("head.fc", 8, 3, rng)}}
+			return Stack(frozen(rng), head)
+		},
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			x := tensor.New(9, 12)
+			x.RandNormal(rng, 1)
+			labels := []int{0, 1, 2, 2, 1, 0, 0, 1, 2}
+			full, pruned := mk(rand.New(rand.NewSource(3))), mk(rand.New(rand.NewSource(3)))
+			optFull, optPruned := NewSGD(0.1, 0.9), NewSGD(0.1, 0.9)
+			for step := 0; step < 4; step++ {
+				logits := full.Forward(x)
+				SoftmaxCrossEntropyInPlace(logits, labels)
+				full.Backward(logits)
+				logits = pruned.Forward(x)
+				SoftmaxCrossEntropyInPlace(logits, labels)
+				pruned.backwardParams(logits)
+				fp, pp := full.Params(), pruned.Params()
+				for i := range fp {
+					for j, v := range fp[i].Grad.Data {
+						if g := pp[i].Grad.Data[j]; g != v {
+							t.Fatalf("step %d: %s grad[%d] = %v, want %v (bit-identical)", step, fp[i].Name, j, g, v)
+						}
+					}
+				}
+				optFull.Step(fp)
+				optPruned.Step(pp)
+			}
+			// The same through the public entry point.
+			for step := 0; step < 4; step++ {
+				logits := full.Forward(x)
+				SoftmaxCrossEntropyInPlace(logits, labels)
+				full.Backward(logits)
+				optFull.Step(full.Params())
+				TrainBatch(pruned, optPruned, x, labels)
+			}
+			want, got := full.TakeSnapshot(), pruned.TakeSnapshot()
+			for pname, m := range want {
+				for j, v := range m.Data {
+					if g := got[pname].Data[j]; g != v {
+						t.Fatalf("after TrainBatch: %s[%d] = %v, want %v (bit-identical)", pname, j, g, v)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := NewMLP("m", []int{3, 5, 2}, rng)
